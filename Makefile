@@ -12,6 +12,7 @@
 #   make bench-hoisting hoisted-rotation gate (decompose-once vs per-rotation keyswitch)
 #   make bench-residency data-residency gate (resident storage vs list interchange)
 #   make bench-wire     wire-format-v2 gate (bit-packed residues vs 8-byte words)
+#   make bench-wire-codec  wire-v2 codec gate (word-level kernel vs bit-matrix kernel)
 #   make bench-reliability  reliability gates (steady-state overhead + recovery time)
 #   make bench-planner  workload-planner gate (sweep fusion + batch packing vs naive sequential)
 #   make chaos          deterministic chaos suite (kills, corruption, retries) on both backends
@@ -22,7 +23,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 BENCHES := $(wildcard benchmarks/bench_*.py)
 
-.PHONY: test test-fast test-both lint bench bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
+.PHONY: test test-fast test-both lint bench bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-wire-codec bench-reliability bench-planner chaos vectors
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -63,6 +64,9 @@ bench-residency:
 bench-wire:
 	REPRO_BACKEND=reference $(PYTHON) -m pytest benchmarks/bench_wire_bytes.py -q -s
 	REPRO_BACKEND=numpy $(PYTHON) -m pytest benchmarks/bench_wire_bytes.py -q -s
+
+bench-wire-codec:
+	$(PYTHON) -m pytest benchmarks/bench_wire_codec.py -q -s
 
 bench-reliability:
 	$(PYTHON) -m pytest benchmarks/bench_reliability.py -q -s

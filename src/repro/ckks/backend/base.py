@@ -86,12 +86,13 @@ exactness contract:
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence
+import functools
+from typing import List, Sequence, Tuple
 
 from repro.ckks.modarith import Modulus
 from repro.ckks.ntt import NTTTables
 
-try:  # wire pack/unpack fast path only -- kernels never depend on this
+try:  # wire codecs only -- arithmetic kernels never depend on this
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
     _np = None
@@ -161,6 +162,21 @@ def _check_pack_bounds(handle, bounds) -> None:
         )
 
 
+@functools.lru_cache(maxsize=256)
+def _bit_layout(n: int, bounds: Tuple[int, ...]):
+    """``(widths, offsets, groups)`` of a bit-packed matrix: each row's
+    word width (its bound's bit length, 1..64), the byte offset of every
+    row plus the total, and the row indices of each distinct width
+    (equal widths need not be adjacent)."""
+    widths = tuple(b.bit_length() if b > 0 else 0 for b in bounds)
+    offsets = [0]
+    groups: dict = {}
+    for r, width in enumerate(widths):
+        offsets.append(offsets[-1] + packed_row_bytes(n, width))
+        groups.setdefault(width, []).append(r)
+    return widths, tuple(offsets), tuple((w, tuple(r)) for w, r in groups.items())
+
+
 def _pack_row_bits_py(row, bound: int, width: int) -> bytes:
     """MSB-first bit concatenation via one big-int accumulator."""
     acc = 0
@@ -195,44 +211,145 @@ def _unpack_row_bits_py(data, n: int, bound: int, width: int):
     return out
 
 
-def _pack_row_bits_np(row, bound: int, width: int) -> bytes:
-    """One row through numpy's bit matrix: words -> MSB-first bit rows
-    -> one packed stream (packbits zero-pads the final byte)."""
-    arr = (
-        row
-        if isinstance(row, _np.ndarray) and row.dtype == _np.uint64
-        else _np.asarray(row, dtype=_np.uint64)
+# -- word-level bit codec ------------------------------------------------
+#
+# A packed row is one MSB-first bit stream, read here as big-endian
+# 64-bit words: word j holds stream bits [64j, 64j + 64) and residue i
+# bits [i*w, i*w + w), so a word overlaps at most ceil(64/w) + 1
+# residues and a residue at most two words.  Both directions are fixed
+# gathers plus per-entry shifts, so their tables depend on the shape
+# alone: built once, memoized, and read-only because every caller
+# shares them.
+
+
+def _frozen(*tables):
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=256)
+def _pack_tables(n: int, width: int, rows: Tuple[int, ...]):
+    """``(idx, lshift, rshift)`` packing ``rows`` of a C-order ``(R, n)``
+    matrix.  Each residue overlapping output word ``j`` lands by one
+    shift: one that starts at or before the word's first bit, or fits
+    inside the word, shifts left (bits before the word fall off the
+    top); the one running past the word's last bit shifts right.
+    ``idx`` is ``(depth, len(rows), words)`` into the flattened matrix:
+    the left entries, then at most one row of right entries, with
+    ``(entries, 1, words)`` shift tables.  Unused left slots repeat the
+    word's last left entry (OR is idempotent); an unused right slot
+    shifts right by 63, which zeroes any residue of width <= 63 (a
+    64-bit row never runs past a word, so it has no right entries)."""
+    words = (n * width + 63) // 64
+    start = _np.arange(words, dtype=_np.int64) * 64
+    first = start // width
+    last = _np.minimum((start + 63) // width, n - 1)
+    spills = (last + 1) * width > start + 64
+    inside = last - spills.astype(_np.int64)
+    left = _np.minimum(
+        first + _np.arange(int((inside - first).max()) + 1)[:, None], inside
     )
-    if arr.size and int(arr.max()) >= bound:
+    lshift = 64 - width - (left * width - start)
+    right = last[None, :][: int(spills.any())]
+    rshift = _np.where(spills, (last + 1) * width - start - 64, 63)[None, :]
+    base = _np.array(rows, dtype=_np.int64)[:, None] * n
+    return _frozen(
+        _np.concatenate([left, right])[:, None, :] + base,
+        lshift[:, None, :].astype(_np.uint64),
+        rshift[: len(right), None, :].astype(_np.uint64),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _unpack_tables(n: int, width: int):
+    """``(hi, lo, shift, lo_shift)``, each ``(n,)``: residue ``i`` is
+    ``((W[hi] << shift) | (W[lo] >> lo_shift)) >> (64 - width)``.  A
+    word-aligned residue reads its ``lo`` from the zero word one past
+    the row (index ``words``), so every shift stays below 64."""
+    words = (n * width + 63) // 64
+    start = _np.arange(n, dtype=_np.int64) * width
+    hi, offset = start // 64, start % 64
+    lo = _np.where(offset == 0, words, hi + 1)
+    return _frozen(
+        hi,
+        lo,
+        offset.astype(_np.uint64),
+        ((64 - offset) % 64).astype(_np.uint64),
+    )
+
+
+def _pack_bits_np(handle, n: int, bounds, layout) -> bytes:
+    """Bit-pack a whole residue matrix: one gather/shift/OR pass per
+    distinct row width."""
+    try:
+        mat = _np.ascontiguousarray(handle, dtype=_np.uint64)
+    except (OverflowError, ValueError, TypeError):
         raise ValueError(
-            f"residue {int(arr.max())} outside [0, {bound}); "
-            "reduce rows before packing"
-        )
-    bits = _np.unpackbits(
-        arr.astype(">u8").view(_np.uint8).reshape(-1, ROW_WORD_BYTES), axis=1
-    )
-    return _np.packbits(bits[:, 64 - width :].ravel()).tobytes()
+            "residue rows are not unsigned 64-bit words; reduce rows "
+            "before packing"
+        ) from None
+    maxes = mat.max(axis=1)
+    for r, bound in enumerate(bounds):
+        if int(maxes[r]) >= bound:
+            raise ValueError(
+                f"residue {int(maxes[r])} outside [0, {bound}); "
+                "reduce rows before packing"
+            )
+    _widths, offsets, groups = layout
+    chunks = [b""] * len(bounds)
+    for width, rows in groups:
+        idx, lshift, rshift = _pack_tables(n, width, rows)
+        parts = mat.take(idx)  # (depth, len(rows), words)
+        parts[: len(lshift)] <<= lshift
+        parts[len(lshift) :] >>= rshift
+        packed = _np.bitwise_or.reduce(parts, axis=0).astype(">u8").view(_np.uint8)
+        for k, r in enumerate(rows):
+            chunks[r] = packed[k, : offsets[r + 1] - offsets[r]].tobytes()
+    return b"".join(chunks)
 
 
-def _unpack_row_bits_np(data, n: int, bound: int, width: int):
-    """Inverse of :func:`_pack_row_bits_np`; returns a uint64 vector."""
-    bits = _np.unpackbits(_np.frombuffer(data, dtype=_np.uint8))
-    if bits[n * width :].any():
+def _unpack_group(flat, n: int, bounds, offsets, width: int, rows):
+    """Decode the equal-width ``rows`` of a packed matrix into an owned
+    ``(len(rows), n)`` uint64 block, validating padding and bounds."""
+    nbytes = offsets[rows[0] + 1] - offsets[rows[0]]
+    words = (n * width + 63) // 64
+    # one zero word past each row: the `lo` read of aligned residues
+    buf = _np.zeros((len(rows), 8 * (words + 1)), dtype=_np.uint8)
+    for k, r in enumerate(rows):
+        buf[k, :nbytes] = flat[offsets[r] : offsets[r] + nbytes]
+    stream = buf.view(">u8").astype(_np.uint64)
+    tail = n * width % 64
+    if tail and (stream[:, words - 1] & _np.uint64((1 << (64 - tail)) - 1)).any():
         raise ValueError("nonzero padding bits in packed residue row")
-    cols = _np.zeros((n, 64), dtype=_np.uint8)
-    cols[:, 64 - width :] = bits[: n * width].reshape(n, width)
-    vals = (
-        _np.packbits(cols, axis=1)
-        .view(">u8")
-        .ravel()
-        .astype(_np.uint64)
-    )
-    if vals.size and int(vals.max()) >= bound:
-        raise ValueError(
-            f"packed residue {int(vals.max())} outside [0, {bound}); "
-            "corrupt row"
-        )
+    hi, lo, shift, lo_shift = _unpack_tables(n, width)
+    vals = stream.take(hi, axis=1)
+    vals <<= shift
+    low = stream.take(lo, axis=1)
+    low >>= lo_shift
+    vals |= low
+    vals >>= _np.uint64(64 - width)
+    maxes = vals.max(axis=1)
+    for k, r in enumerate(rows):
+        if int(maxes[k]) >= bounds[r]:
+            raise ValueError(
+                f"packed residue {int(maxes[k])} outside "
+                f"[0, {bounds[r]}); corrupt row"
+            )
     return vals
+
+
+def _unpack_bits_np(view, n: int, bounds, layout):
+    """Inverse of :func:`_pack_bits_np` into an owned ``(R, n)`` uint64
+    matrix: one gather/shift pass per distinct row width."""
+    _widths, offsets, groups = layout
+    flat = _np.frombuffer(view, dtype=_np.uint8)
+    if len(groups) == 1:
+        return _unpack_group(flat, n, bounds, offsets, *groups[0])
+    out = _np.empty((len(bounds), n), dtype=_np.uint64)
+    for width, rows in groups:
+        out[list(rows)] = _unpack_group(flat, n, bounds, offsets, width, rows)
+    return out
 
 
 class PolynomialBackend(abc.ABC):
@@ -461,21 +578,22 @@ class PolynomialBackend(abc.ABC):
         pack at ``bounds[i].bit_length()`` bits per word, MSB-first,
         each row zero-padded to a byte boundary (wire format v2).  A
         value outside ``[0, bounds[i])`` raises -- it cannot survive the
-        narrowed word.  Vectorized through numpy's packbits when
-        importable; the big-int loop is the numpy-less fallback.
+        narrowed word.  One word-level numpy pass per distinct width
+        when numpy is importable; the big-int loop is the numpy-less
+        fallback.
         """
         _check_pack_bounds(handle, bounds)
-        chunks = []
-        for row, bound in zip(handle, bounds):
-            width = int(bound).bit_length()
-            packed_row_bytes(1, width)  # validate the width range
-            if _np is not None:
-                chunks.append(_pack_row_bits_np(row, int(bound), width))
-            else:
-                if hasattr(row, "tolist"):
-                    row = row.tolist()
-                chunks.append(_pack_row_bits_py(row, int(bound), width))
-        return b"".join(chunks)
+        if not len(handle):
+            return b""
+        bounds = tuple(int(b) for b in bounds)
+        n = len(handle[0])
+        layout = _bit_layout(n, bounds)
+        if _np is not None:
+            return _pack_bits_np(handle, n, bounds, layout)
+        return b"".join(
+            _pack_row_bits_py(row, bound, width)
+            for row, bound, width in zip(handle, bounds, layout[0])
+        )
 
     def unpack_rows_bits(self, data, n: int, bounds: Sequence[int]):
         """Deserialize per-row bit-packed rows into a native handle.
@@ -485,33 +603,29 @@ class PolynomialBackend(abc.ABC):
         validates what the narrowed word lets it: nonzero padding bits
         and residues ``>= bounds[i]`` both raise, so bit-level
         corruption in the reachable range is rejected rather than
-        served.  The default produces canonical lists.
+        served.  The result is an owned, writable matrix in this
+        backend's native form (via :meth:`from_rows`).
         """
+        bounds = tuple(int(b) for b in bounds)
+        layout = _bit_layout(n, bounds)
+        widths, offsets, _groups = layout
         view = memoryview(data)
-        offset = 0
-        rows = []
-        for bound in bounds:
-            width = int(bound).bit_length()
-            nbytes = packed_row_bytes(n, width)
-            if offset + nbytes > len(view):
-                raise ValueError(
-                    f"truncated packed row: need {nbytes} bytes at offset "
-                    f"{offset}, have {len(view) - offset}"
-                )
-            chunk = view[offset : offset + nbytes]
-            if _np is not None:
-                rows.append(
-                    _unpack_row_bits_np(chunk, n, int(bound), width).tolist()
-                )
-            else:
-                rows.append(_unpack_row_bits_py(chunk, n, int(bound), width))
-            offset += nbytes
-        if offset != len(view):
+        if len(view) < offsets[-1]:
+            raise ValueError(
+                f"truncated packed rows: {len(view)} bytes, "
+                f"expected {offsets[-1]}"
+            )
+        if len(view) > offsets[-1]:
             raise ValueError(
                 f"trailing bytes after packed rows: {len(view)} bytes, "
-                f"expected {offset}"
+                f"expected {offsets[-1]}"
             )
-        return rows
+        if _np is not None:
+            return self.from_rows(_unpack_bits_np(view, n, bounds, layout))
+        return [
+            _unpack_row_bits_py(view[offsets[r] : offsets[r + 1]], n, bound, width)
+            for r, (bound, width) in enumerate(zip(bounds, widths))
+        ]
 
     # ------------------------------------------------------------------
     # negacyclic NTT (Algorithms 3 and 4)

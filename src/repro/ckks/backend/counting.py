@@ -32,8 +32,9 @@ Counted keys: ``ntt_forward`` / ``ntt_inverse`` (transform rows),
 ``galois_permute`` (coefficient-domain signed permutations),
 ``ntt_permute`` (NTT-domain gather permutations), ``dyadic_mul`` /
 ``dyadic_mac`` (DyadMult rows, the stack-reduce counting one mul plus
-``R - 1`` MAC rows), and ``lift_rows`` / ``lower_rows`` (residency
-conversions).
+``R - 1`` MAC rows), ``lift_rows`` / ``lower_rows`` (residency
+conversions), and ``pack_bits_rows`` / ``unpack_bits_rows`` (residue
+rows through the wire-v2 bit codec).
 """
 
 from __future__ import annotations
@@ -218,9 +219,11 @@ class CountingBackend(PolynomialBackend):
         return self.inner.unpack_rows(data, count, n)
 
     def pack_rows_bits(self, handle, bounds):
+        self.counts["pack_bits_rows"] += len(bounds)
         return self.inner.pack_rows_bits(handle, bounds)
 
     def unpack_rows_bits(self, data, n, bounds):
+        self.counts["unpack_bits_rows"] += len(bounds)
         return self.inner.unpack_rows_bits(data, n, bounds)
 
     # ------------------------------------------------------------------

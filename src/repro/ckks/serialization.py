@@ -203,12 +203,12 @@ def _pack_residues(poly: RnsPolynomial, out: List[bytes], backend=None) -> None:
     out.append(be.pack_rows(poly.rows))
 
 
-def _pack_residues_bits(
-    poly: RnsPolynomial, out: List[bytes], backend=None
-) -> None:
-    """Append the polynomial's bit-packed rows (v2 wire layout)."""
-    be = backend if backend is not None else get_backend()
-    out.append(be.pack_rows_bits(poly.rows, _bounds(poly.moduli)))
+def _pack_polys_bits(polys, out: List[bytes]) -> None:
+    """Append consecutive polynomials' bit-packed rows (v2 wire layout)
+    with one kernel call over their stacked rows."""
+    rows = [row for poly in polys for row in poly.rows]
+    bounds = [b for poly in polys for b in _bounds(poly.moduli)]
+    out.append(get_backend().pack_rows_bits(rows, bounds))
 
 
 def _unpack_residues(data: memoryview, offset: int, n: int, count: int, backend):
@@ -222,12 +222,15 @@ def _unpack_residues(data: memoryview, offset: int, n: int, count: int, backend)
     return backend.unpack_rows(data[offset:end], count, n), end
 
 
-def _unpack_residues_bits(
-    data: memoryview, offset: int, n: int, bounds: List[int], backend
+def _unpack_polys_bits(
+    data: memoryview, offset: int, n: int, bounds: List[int], count: int, backend
 ):
-    """Read one bit-packed polynomial (len(bounds) rows) into a handle."""
-    end = offset + sum(packed_row_bytes(n, b.bit_length()) for b in bounds)
-    return backend.unpack_rows_bits(data[offset:end], n, bounds), end
+    """Read ``count`` consecutive bit-packed polynomials over one basis
+    (the rest of ``data``) with one kernel call; returns their row
+    handles."""
+    rows = backend.unpack_rows_bits(data[offset:], n, bounds * count)
+    L = len(bounds)
+    return [rows[i * L : (i + 1) * L] for i in range(count)]
 
 
 def serialize_ciphertext(ct: Ciphertext, version: int = VERSION) -> bytes:
@@ -238,9 +241,11 @@ def serialize_ciphertext(ct: Ciphertext, version: int = VERSION) -> bytes:
         ct.level_count | (0x8000 if ct.is_ntt else 0), ct.scale,
     )
     chunks = [header]
-    pack = _pack_residues if version == VERSION else _pack_residues_bits
-    for poly in ct.polys:
-        pack(poly, chunks)
+    if version == VERSION:
+        for poly in ct.polys:
+            _pack_residues(poly, chunks)
+    else:
+        _pack_polys_bits(ct.polys, chunks)
     return b"".join(chunks)
 
 
@@ -255,7 +260,7 @@ def serialize_plaintext(pt: Plaintext, version: int = VERSION) -> bytes:
     if version == VERSION:
         _pack_residues(pt.poly, chunks)
     else:
-        _pack_residues_bits(pt.poly, chunks)
+        _pack_polys_bits([pt.poly], chunks)
     return b"".join(chunks)
 
 
@@ -322,17 +327,20 @@ def deserialize_ciphertext(data: bytes, context: CkksContext) -> Ciphertext:
     _check_payload(
         data, comps * ciphertext_wire_bytes(n, 1, rns, version, moduli)
     )
-    bounds = _bounds(moduli)
     view = memoryview(data)
-    offset = _HEADER.size
-    polys = []
-    for _ in range(comps):
-        if version == VERSION:
+    if version == VERSION:
+        offset = _HEADER.size
+        handles = []
+        for _ in range(comps):
             rows, offset = _unpack_residues(view, offset, n, rns, be)
-        else:
-            rows, offset = _unpack_residues_bits(view, offset, n, bounds, be)
-        polys.append(RnsPolynomial(n, moduli, rows, is_ntt))
-    return Ciphertext(polys, scale)
+            handles.append(rows)
+    else:
+        handles = _unpack_polys_bits(
+            view, _HEADER.size, n, _bounds(moduli), comps, be
+        )
+    return Ciphertext(
+        [RnsPolynomial(n, moduli, rows, is_ntt) for rows in handles], scale
+    )
 
 
 def deserialize_plaintext(data: bytes, context: CkksContext) -> Plaintext:
@@ -351,8 +359,9 @@ def deserialize_plaintext(data: bytes, context: CkksContext) -> Plaintext:
             memoryview(data), _HEADER.size, n, rns, context.backend
         )
     else:
-        rows, _ = _unpack_residues_bits(
-            memoryview(data), _HEADER.size, n, _bounds(moduli), context.backend
+        (rows,) = _unpack_polys_bits(
+            memoryview(data), _HEADER.size, n, _bounds(moduli), 1,
+            context.backend,
         )
     return Plaintext(RnsPolynomial(n, moduli, rows, is_ntt), scale)
 
@@ -382,13 +391,10 @@ def serialize_kswitch_key(ksk: KswitchKey, version: int = VERSION) -> bytes:
     if ksk.seed is not None:
         chunks.append(bytes([_KSK_LAYOUT_SEEDED]))
         chunks.append(ksk.seed)
-        for b, _a in ksk.digits:
-            _pack_residues_bits(b, chunks)
+        _pack_polys_bits([b for b, _a in ksk.digits], chunks)
     else:
         chunks.append(bytes([_KSK_LAYOUT_FULL]))
-        for b, a in ksk.digits:
-            _pack_residues_bits(b, chunks)
-            _pack_residues_bits(a, chunks)
+        _pack_polys_bits([p for digit in ksk.digits for p in digit], chunks)
     return b"".join(chunks)
 
 
@@ -435,22 +441,22 @@ def deserialize_kswitch_key(data: bytes, context: CkksContext) -> KswitchKey:
         raise ValueError(f"unknown v2 key layout {layout}")
     seeded = layout == _KSK_LAYOUT_SEEDED
     _check_payload(data, _ksk_v2_payload_bytes(n, digits, moduli, seeded))
-    bounds = _bounds(moduli)
     offset = _HEADER.size + 1
     seed = None
     if seeded:
         seed = bytes(view[offset : offset + KEY_SEED_BYTES])
         offset += KEY_SEED_BYTES
-    out = []
-    for i in range(digits):
-        rows_b, offset = _unpack_residues_bits(view, offset, n, bounds, be)
-        poly_b = RnsPolynomial(n, moduli, rows_b, True)
-        if seeded:
-            poly_a = expand_uniform_poly(seed, i, n, moduli)
-        else:
-            rows_a, offset = _unpack_residues_bits(view, offset, n, bounds, be)
-            poly_a = RnsPolynomial(n, moduli, rows_a, True)
-        out.append((poly_b, poly_a))
+    handles = _unpack_polys_bits(
+        view, offset, n, _bounds(moduli), digits if seeded else 2 * digits, be
+    )
+    polys = [RnsPolynomial(n, moduli, rows, True) for rows in handles]
+    if seeded:
+        out = [
+            (poly_b, expand_uniform_poly(seed, i, n, moduli))
+            for i, poly_b in enumerate(polys)
+        ]
+    else:
+        out = list(zip(polys[0::2], polys[1::2]))
     return KswitchKey(out, seed=seed)
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -166,8 +167,9 @@ class ClusterReport:
     dedup_hits: int = 0
     #: duplicates refused because the original is still in flight.
     duplicate_inflight: int = 0
-    #: admission-to-response seconds per completed request (router clock).
-    latencies: List[float] = field(default_factory=list)
+    #: admission-to-response seconds per completed request (router
+    #: clock), as packed doubles like ``ServingReport.latencies``.
+    latencies: array = field(default_factory=lambda: array("d"))
 
 
 #: Completed responses remembered per client for idempotent retries.

@@ -6,7 +6,9 @@ Wire format v2 stands on two cross-backend bit-exactness contracts:
   to exactly ``ceil(n * width / 8)`` bytes and round-trips losslessly at
   every modulus width, on every backend, producing byte-identical wire
   bytes; truncation or corruption at *any bit* never decodes silently
-  (padding bits must be zero, residues must stay below their modulus);
+  (padding bits must be zero, residues must stay below their modulus).
+  Every backend runs the same word-level numpy kernel, so the kernel is
+  held byte for byte to the big-int kernels of the numpy-less fallback;
 * ``expand_uniform_poly`` -- the seed-expanded uniform column of a v2
   key must regenerate bit-identically everywhere, or a key uploaded
   from one backend decrypts to garbage on another.
@@ -22,7 +24,11 @@ import random
 
 import pytest
 
-from repro.ckks.backend.base import packed_row_bytes
+from repro.ckks.backend.base import (
+    _pack_row_bits_py,
+    _unpack_row_bits_py,
+    packed_row_bytes,
+)
 from repro.ckks.backend.numpy_backend import NumpyBackend
 from repro.ckks.backend.reference import ReferenceBackend
 from repro.ckks.modarith import Modulus
@@ -92,6 +98,115 @@ class TestRoundTrip:
             handle = be.from_rows([[0, 1, 7, 3]])
             with pytest.raises(ValueError):
                 be.pack_rows_bits(handle, [7])  # 7 >= bound 7
+
+
+# ----------------------------------------------------------------------
+# the word-level kernel against the big-int ground truth
+# ----------------------------------------------------------------------
+def _py_pack(rows, bounds):
+    """Wire bytes from the numpy-less big-int kernel, row by row."""
+    return b"".join(
+        _pack_row_bits_py(row, b, b.bit_length()) for row, b in zip(rows, bounds)
+    )
+
+
+def _py_unpack(data, n, bounds):
+    rows, offset = [], 0
+    for b in bounds:
+        nbytes = packed_row_bytes(n, b.bit_length())
+        chunk = data[offset : offset + nbytes]
+        rows.append(_unpack_row_bits_py(chunk, n, b, b.bit_length()))
+        offset += nbytes
+    return rows
+
+
+def _width_bounds(width):
+    """Two bounds of exactly ``width`` bits: the largest (all residue
+    bits reachable) and one just past a power of two (top bit rare)."""
+    if width == 1:
+        return [1, 1]
+    return [(1 << width) - 1, (1 << (width - 1)) + 1]
+
+
+KERNEL_NS = (1, 3, 7, 8, 13, 64, 65, 1024)
+
+
+class TestWordKernelMatchesBigInt:
+    """Both backends route v2 packing through one numpy kernel, so
+    comparing the backends with each other proves nothing; the big-int
+    kernels (the numpy-less fallback) are the independent ground truth."""
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_every_width_and_ring_byte_identical(self, width):
+        rng = random.Random(7000 + width)
+        bounds = _width_bounds(width)
+        for n in KERNEL_NS:
+            rows = _random_rows(rng, bounds, n)
+            rows[0][0] = 0
+            rows[0][-1] = bounds[0] - 1
+            rows[1][n // 2] = bounds[1] - 1
+            expected = _py_pack(rows, bounds)
+            for be in BACKENDS:
+                data = be.pack_rows_bits(be.from_rows(rows), bounds)
+                assert data == expected, (width, n, be.name)
+                assert be.to_rows(be.unpack_rows_bits(data, n, bounds)) == rows
+            assert _py_unpack(expected, n, bounds) == rows
+
+    @pytest.mark.parametrize(
+        "widths",
+        [(36, 28, 36, 28), (28, 36, 45, 28, 36, 45), (64, 1, 30, 1, 64), (13, 52, 13)],
+    )
+    @pytest.mark.parametrize("n", (3, 8, 24, 1024))
+    def test_non_adjacent_equal_widths(self, widths, n):
+        rng = random.Random(sum(widths) * n)
+        bounds = [rng.randrange(1 << (w - 1), 1 << w) if w > 1 else 1 for w in widths]
+        rows = _random_rows(rng, bounds, n)
+        expected = _py_pack(rows, bounds)
+        for be in BACKENDS:
+            data = be.pack_rows_bits(be.from_rows(rows), bounds)
+            assert data == expected
+            assert be.to_rows(be.unpack_rows_bits(data, n, bounds)) == rows
+
+    @pytest.mark.parametrize("n", (3, 8))
+    def test_every_bit_flip_agrees_with_big_int(self, n):
+        """Flip each bit of a mixed-width blob: the word kernel raises
+        exactly when the big-int kernel does, and otherwise decodes the
+        same residues."""
+        bounds = [(1 << 35) + 3, (1 << 27) + 9, (1 << 35) + 3, (1 << 27) + 9]
+        data = _py_pack(_random_rows(random.Random(n), bounds, n), bounds)
+        for bit in range(8 * len(data)):
+            corrupt = bytearray(data)
+            corrupt[bit // 8] ^= 1 << (7 - bit % 8)
+            try:
+                want = _py_unpack(bytes(corrupt), n, bounds)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    NP.unpack_rows_bits(bytes(corrupt), n, bounds)
+                continue
+            assert NP.to_rows(NP.unpack_rows_bits(bytes(corrupt), n, bounds)) == want
+
+    def test_numpy_less_fallback_is_the_same_codec(self, monkeypatch):
+        """The base methods' numpy-less branch (big-int kernels) writes
+        and reads the same bytes, with the same length checks."""
+        from repro.ckks.backend import base
+
+        bounds = [(1 << 35) + 3, (1 << 27) + 9, (1 << 35) + 3]
+        rows = _random_rows(random.Random(5), bounds, 13)
+        expected = NP.pack_rows_bits(NP.from_rows(rows), bounds)
+        monkeypatch.setattr(base, "_np", None)
+        assert REF.pack_rows_bits(rows, bounds) == expected
+        assert REF.unpack_rows_bits(expected, 13, bounds) == rows
+        for bad in (expected[:-1], expected + b"\x00"):
+            with pytest.raises(ValueError):
+                REF.unpack_rows_bits(bad, 13, bounds)
+
+    def test_decoded_matrix_is_owned_and_writable(self):
+        bounds = [(1 << 29) + 11] * 2
+        data = _py_pack(_random_rows(random.Random(3), bounds, 64), bounds)
+        mat = NP.unpack_rows_bits(data, 64, bounds)
+        assert mat.flags.owndata and mat.flags.writeable
+        assert mat.shape == (2, 64)
+        assert isinstance(REF.unpack_rows_bits(data, 64, bounds)[0], list)
 
 
 # ----------------------------------------------------------------------

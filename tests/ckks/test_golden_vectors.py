@@ -38,6 +38,11 @@ def trace_vectors():
     return json.loads((VECTORS_DIR / "trace_n1024.json").read_text())
 
 
+@pytest.fixture(scope="module")
+def wire_v2_vectors():
+    return json.loads((VECTORS_DIR / "wire_v2.json").read_text())
+
+
 @pytest.mark.parametrize("backend", available_backends())
 def test_ntt_known_answers(backend, ntt_vectors):
     """Forward/inverse NTT and dyadic product reproduce the frozen rows."""
@@ -55,6 +60,19 @@ def test_pipeline_trace_digests(backend, trace_vectors):
         got = regenerate.compute_trace()
     assert got["digests"] == trace_vectors["digests"], (
         f"backend {backend!r} diverged from the frozen n=1024 trace"
+    )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_wire_v2_blob_digests(backend, wire_v2_vectors):
+    """Seeded v2 blobs (ciphertexts, plaintexts, full and seeded relin
+    keys, uniform and mixed-width bases) are byte-identical to the
+    frozen digests: the bit-packed layout is a compatibility contract,
+    so a codec rewrite must not move a single byte."""
+    with use_backend(backend):
+        got = regenerate.compute_wire_v2()
+    assert got == wire_v2_vectors, (
+        f"backend {backend!r} diverged from the frozen wire-v2 blobs"
     )
 
 

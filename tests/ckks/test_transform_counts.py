@@ -144,3 +144,37 @@ def test_counting_backend_is_transparent(counted):
     a = ev.rotate(ct, 2, gk)
     b = plain_ev.rotate(ct, 2, gk)
     assert [p.residues for p in a.polys] == [p.residues for p in b.polys]
+
+
+def test_wire_codec_rows_are_counted(counted):
+    """Wire-v2 codec work shows up as rows through the bit codec (one
+    per residue row on the wire), v1 blobs never touch it, and
+    (de)serializing transforms nothing."""
+    from repro.ckks.backend import use_backend
+    from repro.ckks.serialization import (
+        deserialize_ciphertext,
+        deserialize_kswitch_key,
+        serialize_ciphertext,
+        serialize_kswitch_key,
+    )
+
+    be, ctx, ct = counted["backend"], counted["ctx"], counted["ct"]
+    rows = ct.size * ct.level_count
+    be.reset()
+    with use_backend(be):
+        blob = serialize_ciphertext(ct, version=2)
+        assert be.counts["pack_bits_rows"] == rows
+        deserialize_ciphertext(blob, ctx)
+        assert be.counts["unpack_bits_rows"] == rows
+        be.reset()
+        deserialize_ciphertext(serialize_ciphertext(ct, version=1), ctx)
+        assert be.counts["pack_bits_rows"] == be.counts["unpack_bits_rows"] == 0
+        seeded = KeyGenerator(
+            ctx, seed=33, expansion_seed=bytes(32)
+        ).relin_key()
+        be.reset()
+        deserialize_kswitch_key(serialize_kswitch_key(seeded, version=2), ctx)
+    # a seeded key ships only its b columns: K digits x (K + 1) rows
+    assert be.counts["pack_bits_rows"] == K * (K + 1)
+    assert be.counts["unpack_bits_rows"] == K * (K + 1)
+    assert be.transform_rows == 0

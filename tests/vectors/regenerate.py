@@ -1,6 +1,6 @@
 """Regenerate the golden test vectors under ``tests/vectors/``.
 
-Two fixture families are frozen here:
+Three fixture families are frozen here:
 
 * ``ntt_n64.json`` -- full known-answer rows for the negacyclic
   NTT/INTT at ``n = 64`` in both numpy prime regimes (30-bit native
@@ -9,6 +9,12 @@ Two fixture families are frozen here:
   deterministic encrypt -> multiply -> relinearize -> rescale -> decrypt
   trace at ``n = 1024`` (Set-A-shaped, ``k = 2``), with the head of the
   decoded slot vector stored verbatim.
+* ``wire_v2.json`` -- SHA-256 digests (and lengths) of seeded wire-v2
+  blobs: ciphertexts at ``n = 1024`` on a 30-bit basis and at ``n = 8``
+  on a mixed 36/28/45-bit basis (the Set-A widths, whose rows do not
+  fill whole 64-bit words), a plaintext, and full and seed-expanded
+  relinearization keys.  v2 bytes are a compatibility contract, so a
+  codec change must leave every digest untouched.
 
 The point of freezing (rather than comparing against the reference
 backend at test time) is that a regression that hits *both* backends --
@@ -41,6 +47,13 @@ TRACE_KEYGEN_SEED = 2024
 TRACE_ENCRYPTOR_SEED = 2025
 TRACE_DECODE_ATOL = 1e-3
 TRACE_HEAD_SLOTS = 8
+
+#: Set-A's prime widths (36 + 28 data, 45 special) at a ring small
+#: enough that no row is a whole number of 64-bit words.
+WIRE_MIXED_PARAMS = dict(n=8, modulus_bits=(36, 28, 45), scale=2.0**28)
+WIRE_KEYGEN_SEED = 4242
+WIRE_ENCRYPTOR_SEED = 4243
+WIRE_EXPANSION_SEED = bytes(range(32))
 
 
 def rows_digest(rows) -> str:
@@ -131,18 +144,76 @@ def compute_trace() -> dict:
     }
 
 
+def blob_digest(blob: bytes) -> dict:
+    """Length and SHA-256 of one serialized object."""
+    return {"bytes": len(blob), "sha256": hashlib.sha256(blob).hexdigest()}
+
+
+def compute_wire_v2() -> dict:
+    """Digests of seeded wire-v2 blobs (packed on the active backend)."""
+    from repro.ckks.context import CkksContext, CkksParameters, toy_parameters
+    from repro.ckks.encoder import CkksEncoder
+    from repro.ckks.encryptor import Encryptor
+    from repro.ckks.keys import KeyGenerator
+    from repro.ckks.serialization import (
+        VERSION_PACKED,
+        serialize_ciphertext,
+        serialize_kswitch_key,
+        serialize_plaintext,
+    )
+
+    def seeded_objects(params):
+        ctx = CkksContext(params)
+        keygen = KeyGenerator(ctx, seed=WIRE_KEYGEN_SEED)
+        seeded = KeyGenerator(
+            ctx, seed=WIRE_KEYGEN_SEED, expansion_seed=WIRE_EXPANSION_SEED
+        )
+        encryptor = Encryptor(
+            ctx, keygen.public_key(), seed=WIRE_ENCRYPTOR_SEED
+        )
+        pt = CkksEncoder(ctx).encode(trace_values(params.slot_count))
+        return pt, encryptor.encrypt(pt), keygen.relin_key(), seeded.relin_key()
+
+    out = {}
+    bases = (
+        ("n1024_30bit", toy_parameters(**TRACE_PARAMS)),
+        (
+            "n8_setA_widths",
+            CkksParameters(
+                allow_insecure=True, name="wire-mixed", **WIRE_MIXED_PARAMS
+            ),
+        ),
+    )
+    for label, params in bases:
+        pt, ct, relin, relin_seeded = seeded_objects(params)
+        out[label] = {
+            "plaintext": blob_digest(serialize_plaintext(pt, VERSION_PACKED)),
+            "ciphertext": blob_digest(serialize_ciphertext(ct, VERSION_PACKED)),
+            "relin_key": blob_digest(
+                serialize_kswitch_key(relin, VERSION_PACKED)
+            ),
+            "relin_key_seeded": blob_digest(
+                serialize_kswitch_key(relin_seeded, VERSION_PACKED)
+            ),
+        }
+    return out
+
+
 def main() -> None:
     from repro.ckks.backend import use_backend
 
     with use_backend("reference"):
         ntt = compute_ntt_vectors()
         trace = compute_trace()
+        wire = compute_wire_v2()
     (VECTORS_DIR / "ntt_n64.json").write_text(json.dumps(ntt, indent=1) + "\n")
     (VECTORS_DIR / "trace_n1024.json").write_text(
         json.dumps(trace, indent=1) + "\n"
     )
+    (VECTORS_DIR / "wire_v2.json").write_text(json.dumps(wire, indent=1) + "\n")
     print(f"wrote {VECTORS_DIR / 'ntt_n64.json'}")
     print(f"wrote {VECTORS_DIR / 'trace_n1024.json'}")
+    print(f"wrote {VECTORS_DIR / 'wire_v2.json'}")
 
 
 if __name__ == "__main__":
