@@ -1,21 +1,25 @@
-"""R6 -- no per-step rotation loops in workload/serving modules.
+"""R6 -- workload/serving modules execute through the planner only.
 
 PR 10 added the workload planner: rotation sweeps declared in a
 :class:`~repro.plan.PlanGraph` are fused through **one** hoisted
 key-switch decomposition (``fuse_rotation_sweeps``), and the hoisting
-benchmark holds a >= 2x gate over the rotate-per-step baseline.  The
-regression this rule guards against is the obvious one: a new serving
-or workload call site writing ``for step in steps: ct = ev.rotate(...)``
--- each iteration pays a full decomposition the planner would have paid
-once.
+benchmark holds a >= 2x gate over the rotate-per-step baseline.  Since
+then every served flush and every workload has been lowered to a plan
+and run by :class:`~repro.plan.PlanExecutor` -- the one execution path.
+The rule guards both halves of that:
 
-The rule statically flags ``.rotate(...)`` / ``.rotate_unhoisted(...)``
-calls lexically inside a ``for``/``while`` body in the scoped modules.
-Loops that *build plan nodes* rather than execute rotations (the graph
-is the fix, not the bug) opt out per line with
-``# lint: disable=R6 -- <why>``, which keeps the justification at the
-call site.  A nested ``def`` resets the loop context: defining a
-rotation helper inside a loop does not execute one per iteration.
+* **no per-step rotation loops** -- a ``.rotate(...)`` /
+  ``.rotate_unhoisted(...)`` call lexically inside a ``for``/``while``
+  body pays a full decomposition per iteration the planner would have
+  paid once.  Loops that *build plan nodes* rather than execute
+  rotations (the graph is the fix, not the bug) opt out per line with
+  ``# lint: disable=R6 -- <why>``, which keeps the justification at the
+  call site.  A nested ``def`` resets the loop context: defining a
+  rotation helper inside a loop does not execute one per iteration.
+* **no evaluator of their own** -- constructing an ``Evaluator(...)``
+  or ``BatchEvaluator(...)`` (under any import alias) opens a second
+  execution path beside the plan executor: its own op dispatch, its own
+  batching and hoisting decisions.  Execute through ``repro.plan``.
 """
 
 from __future__ import annotations
@@ -40,14 +44,25 @@ PLANNED_MODULES = (
 #: Method spellings that execute one key-switch per call.
 ROTATE_METHODS = ("rotate", "rotate_unhoisted")
 
+#: Evaluator classes only :mod:`repro.plan` may construct.
+EVALUATOR_CLASSES = ("Evaluator", "BatchEvaluator")
 
-class _RotateLoopVisitor(SymbolTrackingVisitor):
+
+class _PlannerVisitor(SymbolTrackingVisitor):
     def __init__(self, rule: "PlannerDisciplineRule", module: SourceModule):
         super().__init__()
         self.rule = rule
         self.module = module
         self.findings: List[Finding] = []
         self.loop_depth = 0
+        #: local name -> evaluator class it was imported as
+        self.evaluator_names = {name: name for name in EVALUATOR_CLASSES}
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            if alias.name in EVALUATOR_CLASSES and alias.asname:
+                self.evaluator_names[alias.asname] = alias.name
+        self.generic_visit(node)
 
     def _visit_scope(self, node: ast.AST) -> None:
         # a def inside a loop defines, it does not execute per iteration
@@ -70,6 +85,24 @@ class _RotateLoopVisitor(SymbolTrackingVisitor):
         self._visit_loop(node)
 
     def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        called = (
+            func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute)
+            else None
+        )
+        if called in self.evaluator_names:
+            self.findings.append(
+                self.rule.finding(
+                    self.module,
+                    node,
+                    self.symbol,
+                    f"{self.evaluator_names[called]}(...) constructed in a "
+                    "workload/serving module opens a second execution path; "
+                    "lower the work to a PlanGraph and run it through "
+                    "repro.plan.PlanExecutor",
+                )
+            )
         if (
             self.loop_depth > 0
             and isinstance(node.func, ast.Attribute)
@@ -92,15 +125,16 @@ class _RotateLoopVisitor(SymbolTrackingVisitor):
 
 
 class PlannerDisciplineRule(Rule):
-    """No per-step ``.rotate()`` loops in workload/serving modules."""
+    """No per-step ``.rotate()`` loops and no evaluator construction in
+    workload/serving modules."""
 
     id = "R6"
-    title = "planner-fused rotation sweeps in workload/serving modules"
+    title = "planner-only execution in workload/serving modules"
     invariant_origin = "PR 10 (op-graph planner: rotation-sweep fusion)"
 
     def check_module(self, module: SourceModule) -> Iterable[Finding]:
         if not module_matches(module.module, PLANNED_MODULES):
             return ()
-        visitor = _RotateLoopVisitor(self, module)
+        visitor = _PlannerVisitor(self, module)
         visitor.visit(module.tree)
         return visitor.findings

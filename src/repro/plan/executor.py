@@ -53,6 +53,12 @@ def _sched_kind(op: str) -> str:
     return _SCHED_KIND.get(op, "mult")
 
 
+def _shape(ct: Ciphertext) -> Tuple[int, int, float, bool]:
+    """(size, level, scale, NTT form); every component shares the last two."""
+    poly = ct.polys[0]
+    return (len(ct.polys), len(poly.moduli), ct.scale, poly.is_ntt)
+
+
 @dataclass(frozen=True)
 class PlanStep:
     """One executed schedule step (a sweep, a batch lane, or a scalar op)."""
@@ -113,7 +119,8 @@ class PlanExecutor:
         self.galois_keys = galois_keys
         self.evaluator = Evaluator(context)
         self.batch_evaluator = BatchEvaluator(context)
-        self.encoder = CkksEncoder(context)
+        #: built on the first const encode (see :attr:`encoder`)
+        self._encoder: Optional[CkksEncoder] = None
         #: (const_id, level, scale) -> encoded plaintext; encoding is
         #: deterministic, so sharing the cache across runs/modes cannot
         #: perturb bit-identity.
@@ -122,6 +129,15 @@ class PlanExecutor:
     # ------------------------------------------------------------------
     # plaintext operands
     # ------------------------------------------------------------------
+    @property
+    def encoder(self) -> CkksEncoder:
+        """The const-operand encoder, built on first use: its DFT tables
+        cost more than a small flush, and const-free plans (every
+        served request) never encode."""
+        if self._encoder is None:
+            self._encoder = CkksEncoder(self.context)
+        return self._encoder
+
     def _plain(
         self, graph: PlanGraph, const_id: int, level: int, scale: float
     ) -> Plaintext:
@@ -156,7 +172,7 @@ class PlanExecutor:
     # key discipline
     # ------------------------------------------------------------------
     def _check_keys(self, graph: PlanGraph) -> None:
-        ops = {node.op for node in graph.nodes.values()}
+        ops = graph.op_counts().keys()
         if ops & {"mul_relin", "square"} and self.relin_key is None:
             raise ValueError(
                 "plan contains mul_relin/square but the executor has no "
@@ -173,7 +189,7 @@ class PlanExecutor:
     def _bill(
         self, op: str, width: int, level: int, out_level: int, seconds: float
     ) -> ScheduledOp:
-        """Poly-count billing in the ``BatchWorkloadRunner`` idiom.
+        """Poly-count billing of one step (:meth:`ScheduledOp.for_batch`).
 
         Plan values are always size-2 ciphertexts.  Binary ciphertext
         ops move two operands; plaintext ops move one shared plaintext
@@ -250,7 +266,13 @@ class PlanExecutor:
         op = nodes[0].op
         lhs = CiphertextBatch.join([results[n.inputs[0]] for n in nodes])
         if op in ("add", "sub", "mul_relin"):
-            rhs = CiphertextBatch.join([results[n.inputs[1]] for n in nodes])
+            # add(x, x) / mul_relin(x, x) lanes stack their operand once
+            # and pass the same batch twice
+            rhs = (
+                lhs
+                if all(n.inputs[0] == n.inputs[1] for n in nodes)
+                else CiphertextBatch.join([results[n.inputs[1]] for n in nodes])
+            )
             if op == "add":
                 out = bev.add(lhs, rhs)
             elif op == "sub":
@@ -286,24 +308,7 @@ class PlanExecutor:
     # scheduling
     # ------------------------------------------------------------------
     @staticmethod
-    def _waves(graph: PlanGraph) -> List[List[PlanNode]]:
-        """ASAP wave schedule: depth = 1 + max over operand depths."""
-        depth: Dict[int, int] = {}
-        waves: Dict[int, List[PlanNode]] = {}
-        for node in graph.topo_order():
-            if node.op == "const":
-                continue
-            if node.op == "input":
-                depth[node.id] = 0
-                continue
-            d = 1 + max(depth[i] for i in node.inputs)
-            depth[node.id] = d
-            waves.setdefault(d, []).append(node)
-        return [waves[d] for d in sorted(waves)]
-
-    def _signature(
-        self, node: PlanNode, results: Dict[int, Ciphertext]
-    ) -> Tuple:
+    def _signature(node: PlanNode, results: Dict[int, Ciphertext]) -> Tuple:
         """Batch-lane packing key: op identity + exact operand shape.
 
         Two nodes pack only if the batched call is a single homogeneous
@@ -311,11 +316,12 @@ class PlanExecutor:
         every operand agreeing on size, level, scale and NTT form --
         the ``CiphertextBatch.join`` homogeneity rules.
         """
-        shapes = tuple(
-            (ct.size, ct.level_count, ct.scale, ct.is_ntt)
-            for ct in (results[i] for i in node.inputs)
+        return (
+            node.op,
+            node.step,
+            node.const_id,
+            tuple(map(_shape, map(results.__getitem__, node.inputs))),
         )
-        return (node.op, node.step, node.const_id, shapes)
 
     # ------------------------------------------------------------------
     # execution
@@ -330,15 +336,17 @@ class PlanExecutor:
 
         ``inputs`` maps input-node names to live ciphertexts; missing or
         extra names raise before any work happens.  Plaintext encoding
-        runs outside the timed regions (host-side work, exactly as in
-        the workload runner).
+        runs outside the timed regions (host-side work, not
+        accelerator compute).
         """
         self._check_keys(graph)
-        missing = sorted(set(graph.inputs) - set(inputs))
-        if missing:
-            raise ValueError(f"plan inputs not supplied: {', '.join(missing)}")
-        extra = sorted(set(inputs) - set(graph.inputs))
-        if extra:
+        if inputs.keys() != graph.inputs.keys():
+            missing = sorted(set(graph.inputs) - set(inputs))
+            if missing:
+                raise ValueError(
+                    f"plan inputs not supplied: {', '.join(missing)}"
+                )
+            extra = sorted(set(inputs) - set(graph.inputs))
             raise ValueError(f"unknown plan inputs: {', '.join(extra)}")
         results: Dict[int, Ciphertext] = {
             nid: inputs[name] for name, nid in graph.inputs.items()
@@ -347,59 +355,31 @@ class PlanExecutor:
         if optimize:
             self._run_optimized(graph, results, run)
         else:
-            self._run_naive(graph, results, run)
+            for node in graph.topo_order():
+                if node.op not in ("const", "input"):
+                    self._run_lane(graph, [node], results, run)
         run.outputs = {
             name: results[nid] for name, nid in graph.outputs.items()
         }
         return run
 
-    def _run_naive(
-        self, graph: PlanGraph, results: Dict[int, Ciphertext], run: PlanRun
-    ) -> None:
-        for node in graph.topo_order():
-            if node.op in ("const", "input"):
-                continue
-            operands = [results[i] for i in node.inputs]
-            if node.const_id is not None:
-                self._operand_plain(graph, node, operands[0])  # pre-encode
-            level = operands[0].level_count
-            t0 = time.perf_counter()
-            out = self._apply_scalar(graph, node, operands)
-            seconds = time.perf_counter() - t0
-            results[node.id] = out
-            run.scalar_ops += 1
-            run.steps.append(
-                PlanStep(
-                    node.op,
-                    (node.id,),
-                    1,
-                    "scalar",
-                    level,
-                    0,
-                    seconds,
-                    self._bill(node.op, 1, level, out.level_count, seconds),
-                )
-            )
-
     def _run_optimized(
         self, graph: PlanGraph, results: Dict[int, Ciphertext], run: PlanRun
     ) -> None:
-        for wave in self._waves(graph):
-            remaining: List[PlanNode] = []
+        for wave in graph.waves:
             sweeps: Dict[int, List[PlanNode]] = {}
+            lanes: Dict[Tuple, List[PlanNode]] = {}
             for node in wave:
                 if node.op == "rotate":
                     sweeps.setdefault(node.inputs[0], []).append(node)
                 else:
-                    remaining.append(node)
+                    lanes.setdefault(self._signature(node, results), []).append(node)
             for src, rotations in sorted(sweeps.items()):
-                if len(rotations) < 2:
-                    remaining.extend(rotations)
-                    continue
-                self._run_sweep(src, rotations, results, run)
-            lanes: Dict[Tuple, List[PlanNode]] = {}
-            for node in remaining:
-                lanes.setdefault(self._signature(node, results), []).append(node)
+                if len(rotations) > 1:
+                    self._run_sweep(src, rotations, results, run)
+                else:  # a lone rotation batches with same-step peers
+                    node = rotations[0]
+                    lanes.setdefault(self._signature(node, results), []).append(node)
             # lanes execute in first-member order, keeping the schedule
             # deterministic across runs
             for sig in sorted(lanes, key=lambda s: lanes[s][0].id):
@@ -427,7 +407,7 @@ class PlanExecutor:
         run.steps.append(
             PlanStep(
                 "rotate",
-                tuple(n.id for n in nodes),
+                tuple([n.id for n in nodes]),
                 len(nodes),
                 "sweep",
                 ct.level_count,
@@ -444,54 +424,41 @@ class PlanExecutor:
         results: Dict[int, Ciphertext],
         run: PlanRun,
     ) -> None:
-        level = results[nodes[0].inputs[0]].level_count
-        if nodes[0].const_id is not None:
+        """One schedule step over same-signature nodes: a batch lane, or
+        scalar execution for a single node (every node of a naive run)."""
+        head = nodes[0]
+        level = results[head.inputs[0]].level_count
+        if head.const_id is not None:
             self._operand_plain(
-                graph, nodes[0], results[nodes[0].inputs[0]]
+                graph, head, results[head.inputs[0]]
             )  # pre-encode outside the timed region
-        if len(nodes) == 1:
-            node = nodes[0]
-            operands = [results[i] for i in node.inputs]
-            t0 = time.perf_counter()
-            out = self._apply_scalar(graph, node, operands)
-            seconds = time.perf_counter() - t0
-            results[node.id] = out
-            run.scalar_ops += 1
-            run.steps.append(
-                PlanStep(
-                    node.op,
-                    (node.id,),
-                    1,
-                    "scalar",
-                    level,
-                    0,
-                    seconds,
-                    self._bill(node.op, 1, level, out.level_count, seconds),
-                )
-            )
-            return
+        scalar = len(nodes) == 1
         t0 = time.perf_counter()
-        outs = self._apply_batched(graph, nodes, results)
+        if scalar:
+            outs = [
+                self._apply_scalar(graph, head, [results[i] for i in head.inputs])
+            ]
+        else:
+            outs = self._apply_batched(graph, nodes, results)
         seconds = time.perf_counter() - t0
         for node, out in zip(nodes, outs):
             results[node.id] = out
-        run.lanes += 1
-        run.packed_ops += len(nodes)
+        if scalar:
+            run.scalar_ops += 1
+        else:
+            run.lanes += 1
+            run.packed_ops += len(nodes)
         run.steps.append(
             PlanStep(
-                nodes[0].op,
-                tuple(n.id for n in nodes),
+                head.op,
+                tuple([n.id for n in nodes]),
                 len(nodes),
-                "batch",
+                "scalar" if scalar else "batch",
                 level,
                 0,
                 seconds,
                 self._bill(
-                    nodes[0].op,
-                    len(nodes),
-                    level,
-                    outs[0].level_count,
-                    seconds,
+                    head.op, len(nodes), level, outs[0].level_count, seconds
                 ),
             )
         )

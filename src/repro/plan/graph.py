@@ -33,7 +33,7 @@ The IR is deliberately minimal:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 #: Ops producing ciphertext values.  ``mul_relin``/``square`` include the
@@ -91,6 +91,12 @@ class PlanGraph:
         self.outputs: Dict[str, int] = {}
         #: input name -> node id.
         self.inputs: Dict[str, int] = {}
+        #: the ASAP wave schedule, kept as nodes are added: ``waves[d]``
+        #: holds the ops whose longest operand chain back to an input is
+        #: ``d + 1`` ops deep (inputs and consts are in no wave).
+        self.waves: List[List[PlanNode]] = []
+        self._depth: Dict[int, int] = {}
+        self._op_counts: Dict[str, int] = {}
         self._next_id = 0
 
     # ------------------------------------------------------------------
@@ -100,6 +106,15 @@ class PlanGraph:
         node = PlanNode(id=self._next_id, op=op, **kwargs)
         self.nodes[node.id] = node
         self._next_id += 1
+        self._op_counts[op] = self._op_counts.get(op, 0) + 1
+        # operands are already built, so a node is at most one wave
+        # past the deepest so far: the schedule grows by appending
+        depth = 1 + max(map(self._depth.__getitem__, node.inputs), default=-1)
+        self._depth[node.id] = depth
+        if depth:
+            if depth > len(self.waves):
+                self.waves.append([])
+            self.waves[depth - 1].append(node)
         return node.id
 
     def _cipher(self, nid: int) -> int:
@@ -191,8 +206,9 @@ class PlanGraph:
     # traversal
     # ------------------------------------------------------------------
     def topo_order(self) -> List[PlanNode]:
-        """Nodes in a topological order (construction order, by design)."""
-        return [self.nodes[i] for i in sorted(self.nodes)]
+        """Nodes in a topological order (construction order, by design:
+        ids are assigned in insertion order)."""
+        return list(self.nodes.values())
 
     def consumers(self) -> Dict[int, List[int]]:
         """node id -> ids of the nodes consuming its ciphertext value."""
@@ -203,10 +219,7 @@ class PlanGraph:
         return out
 
     def op_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for node in self.nodes.values():
-            counts[node.op] = counts.get(node.op, 0) + 1
-        return counts
+        return dict(self._op_counts)
 
     def __len__(self) -> int:
         return len(self.nodes)

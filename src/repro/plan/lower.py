@@ -11,10 +11,9 @@ from the repo's existing workload descriptions:
   composite while exposing the ``dim - 1`` rotations as a fusable sweep.
 * :func:`workload_graph` -- a :class:`repro.system.workload.Workload`
   primitive bag unrolled over ``lanes`` independent ciphertext chains
-  (the multi-client picture), with the same primitive mapping as
-  :class:`repro.system.workload.BatchWorkloadRunner` and the same
-  reset-on-infeasible semantics, expressed as fresh plan inputs.  The
-  parallel chains are what the executor's batch packing amortizes.
+  (the multi-client picture), with an op that a chain cannot sustain
+  resetting it to a fresh plan input (a real host's re-encryption).
+  The parallel chains are what the executor's batch packing amortizes.
 """
 
 from __future__ import annotations
@@ -84,9 +83,9 @@ def workload_graph(
 
     Each lane applies the workload's deterministic
     :meth:`~repro.system.workload.Workload.op_sequence` to its own
-    ciphertext chain with the :class:`BatchWorkloadRunner` primitive
-    mapping (every plan value is size 2, so ``keyswitch`` is always a
-    rotation and ``cc_mult`` a fused square+relin):
+    ciphertext chain with this primitive mapping (every plan value is
+    size 2, so ``keyswitch`` is always a rotation and ``cc_mult`` a
+    fused square+relin):
 
     * ``keyswitch`` -> ``rotate(cur, 1)``
     * ``cc_mult``   -> ``square(cur)``
@@ -98,13 +97,21 @@ def workload_graph(
 
     Chains track (level, scale) with the planner's own arithmetic, and
     an op the chain cannot sustain (out of levels, out of headroom)
-    resets the lane to a fresh input -- the runner's re-encryption
-    semantics, expressed as a new plan input named
-    ``lane{i}_reset{j}``.  The returned graph passes
-    :func:`repro.plan.passes.compile_plan` by construction.
+    resets the lane to a fresh input -- a re-encryption, expressed as a
+    new plan input named ``lane{i}_reset{j}``.  The returned graph
+    passes :func:`repro.plan.passes.compile_plan` by construction.
+
+    Raises ``ValueError`` for ``lanes < 1``, for a ``rescale`` on a
+    single-level modulus chain (no reset can make it executable), and
+    for an op that does not fit even on a fresh chain.
     """
     if lanes < 1:
         raise ValueError("need at least one lane")
+    if workload.counts["rescale"] and context.k < 2:
+        raise ValueError(
+            "workload contains rescale ops but the context has a "
+            "single-level modulus chain; use k >= 2"
+        )
     delta = context.params.scale
     trigger = delta ** 1.5
     graph = PlanGraph()

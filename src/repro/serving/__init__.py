@@ -15,9 +15,11 @@ that makes such streams executable batch-wise:
   lanes keyed by (op, op_arg, key_id, n, size, level, scale, NTT form),
   flushed on max-batch-size or deadline;
 * :mod:`repro.serving.server` -- :class:`EncryptedComputeServer`, which
-  executes flushes through :class:`repro.ckks.batch.BatchEvaluator`
-  (scalar fallback for singletons) and records every flush as a
-  measured :class:`repro.system.scheduler.ScheduledOp` for the Figure-7
+  lowers every flush to one :class:`repro.plan.PlanGraph` (a single op
+  is a one-step chain per request) and runs it through
+  :class:`repro.plan.PlanExecutor` -- the one execution path -- and
+  records every flush as a measured
+  :class:`repro.system.scheduler.ScheduledOp` for the Figure-7
   host-pipeline simulation;
 * :mod:`repro.serving.traffic` -- deterministic synthetic multi-client
   traffic for tests and benchmarks;

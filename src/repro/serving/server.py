@@ -9,29 +9,32 @@ across.  Concretely, one request travels:
 
     bytes -> FrameDecoder -> RequestQueue (backpressure)
           -> DynamicBatcher (homogeneity lanes, size/deadline flush)
-          -> BatchEvaluator (N >= 2) or scalar Evaluator (singleton)
+          -> one PlanGraph per flush -> PlanExecutor
           -> serialized response frame in the client's outbox
+
+Every flush takes that one path: each live request lowers to one
+chain of the flush's graph (a single op is a one-step chain).
 
 Every flush is also recorded as a *measured* :class:`ScheduledOp` --
 input/output PCIe bytes from :func:`ciphertext_wire_bytes`, compute
 seconds from the real execution -- so served traffic drops into the
 same discrete-event host-pipeline simulation
-(:meth:`repro.system.scheduler.HostScheduler.run_executed`) that
-:class:`repro.system.workload.BatchWorkloadRunner` feeds: simulate the
-system, execute the math.
+(:meth:`repro.system.scheduler.HostScheduler.run_executed`) that a
+:class:`repro.plan.PlanRun` feeds: simulate the system, execute the
+math.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time  # perf_counter only: measures flush cost, never deadlines
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.ckks.batch import BatchEvaluator, CiphertextBatch
+from repro import plan
 from repro.ckks.context import CkksContext
-from repro.ckks.evaluator import Evaluator
 from repro.ckks.poly import Ciphertext
 from repro.ckks.serialization import (
     ciphertext_wire_bytes,
@@ -52,17 +55,62 @@ from repro.serving.session import ClientSession, SessionManager
 from repro.system.scheduler import HostScheduler, ScheduledOp, ScheduleReport
 from repro.system.pcie import PcieModel
 
-#: ScheduledOp kind per op -- selects the staging-buffer depth in the
-#: host pipeline model (keyswitch is quadruple-buffered, Section 5.2).
-_SCHED_KIND = {
-    "square": "keyswitch",
-    "rotate": "keyswitch",
-    "rotate_hoisted": "keyswitch",
-    "conjugate": "keyswitch",
-    "rescale": "ntt",
-    "double": "mult",
-    "negate": "mult",
-}
+@functools.lru_cache(maxsize=256)
+def _flush_graph(
+    chains: tuple, hoisted: bool, level_count: int, scale: float, slots: int
+) -> plan.PlanGraph:
+    """The plan of one flush: one chain per live request.
+
+    Request ``i``'s chain reads input ``r{i}`` and writes output
+    ``o{i}``; the executor packs the parallel chains into batch lanes
+    per step, so an N-wide flush runs as N-wide batched execution of
+    each step.  A hoist lane's members carry identical ciphertext bytes
+    by lane construction, so they all read ONE input, ``r0``, and the
+    executor serves their rotations as one hoisted sweep (decompose
+    once, apply every step).
+
+    A flush's plan depends only on these arguments, and lanes repeat,
+    so it is built once per shape and reused (nothing mutates a built
+    plan): building one is a measurable share of a light op's flush.
+    """
+    graph = plan.PlanGraph()
+    shared = None
+    for i, steps in enumerate(chains):
+        if shared is None or not hoisted:
+            shared = graph.input(f"r{i}", level_count=level_count, scale=scale)
+        cur = shared
+        for op, arg in steps:
+            if op == "square":
+                cur = graph.square(cur)
+            elif op == "rotate":
+                # step 0 and step slot_count name the same (identity)
+                # automorphism; the graph reserves 0, so the op lowers
+                # to its nonzero alias and executes exactly as an
+                # evaluator rotate by 0 does
+                cur = graph.rotate(cur, arg or slots)  # lint: disable=R6 -- plan node
+            elif op == "conjugate":
+                cur = graph.conjugate(cur)
+            elif op == "rescale":
+                cur = graph.rescale(cur)
+            elif op == "double":
+                cur = graph.add(cur, cur)
+            else:  # negate -- admission and register_program admit nothing else
+                cur = graph.negate(cur)
+        graph.output(cur, f"o{i}")
+    return graph
+
+
+def _flush_kind(chains) -> str:
+    """ScheduledOp kind of a flush, from its requests' step chains:
+    keyed by the heaviest stage (key switches dominate rescales
+    dominate dyadic ops) -- it selects the staging-buffer depth in the
+    host pipeline model (keyswitch is quadruple-buffered, Section 5.2)."""
+    ops = {op for steps in chains for op, _ in steps}
+    if ops & {"square", "rotate", "conjugate"}:
+        return "keyswitch"
+    if "rescale" in ops:
+        return "ntt"
+    return "mult"
 
 
 @dataclass(frozen=True)
@@ -72,7 +120,7 @@ class FlushRecord:
     op: str
     batch_size: int
     seconds: float
-    batched: bool  # False = singleton fallback through the scalar path
+    batched: bool  # False = a singleton, executed unbatched
     scheduled: ScheduledOp
 
 
@@ -145,8 +193,6 @@ class EncryptedComputeServer:
         # the batcher shares the server's clock, so an injected manual
         # clock governs deadline flushes end to end
         self.batcher = DynamicBatcher(max_batch_size, max_delay_seconds, clock=clock)
-        self.evaluator = Evaluator(context)
-        self.batch_evaluator = BatchEvaluator(context)
         self.report = ServingReport()
         self._max_frame_bytes = max_frame_bytes
         #: program id -> normalized step tuple (see register_program)
@@ -195,16 +241,6 @@ class EncryptedComputeServer:
         program = tuple(normalized)
         self._programs[int(program_id)] = program
         return program
-
-    def _program_kind(self, steps: tuple) -> str:
-        """ScheduledOp kind of a program flush: keyed by its heaviest
-        stage (key switches dominate rescales dominate dyadic ops)."""
-        ops = {op for op, _ in steps}
-        if ops & {"square", "rotate", "conjugate"}:
-            return "keyswitch"
-        if "rescale" in ops:
-            return "ntt"
-        return "mult"
 
     # ------------------------------------------------------------------
     # ingress
@@ -398,7 +434,7 @@ class EncryptedComputeServer:
         Returns the number of requests completed this turn.  A lane
         flushes as soon as it fills to ``max_batch_size``; lanes that
         age past ``max_delay_seconds`` flush at whatever width they
-        reached -- a singleton falls back to the scalar evaluator.
+        reached -- a singleton runs unbatched.
         """
         if now is None:
             now = self.clock()
@@ -467,92 +503,49 @@ class EncryptedComputeServer:
             moduli=self.context.basis_at_level(level_count).moduli,
         )
 
-    def _apply_scalar(self, group: BatchGroup, ct: Ciphertext) -> Ciphertext:
-        ev = self.evaluator
+    def _chain(self, request: PendingRequest) -> tuple:
+        """A request's step chain: its registered program, or its one op."""
+        if request.op == "program":
+            return self._programs[request.op_arg]
+        return ((request.op, request.op_arg),)
+
+    def _run_flush(
+        self, group: BatchGroup, requests: List[PendingRequest], chains
+    ) -> List[Ciphertext]:
+        """Execute one flush as one plan; one result per request.
+
+        Only program flushes go through :func:`repro.plan.check_plan`
+        (an infeasible chain fails loudly up front, as a
+        :class:`PlanValidationError` -- a ``ValueError``); a single op
+        keeps exactly the evaluator's own checks.
+        """
+        ct = requests[0].ciphertext
+        graph = _flush_graph(
+            tuple(chains),
+            group.hoisted,
+            ct.level_count,
+            ct.scale,
+            self.context.params.slot_count,
+        )
+        if group.op == "program":
+            plan.check_plan(graph, self.context)
         # the key captured at admission -- identical for every lane
         # member by construction (the lane is keyed on its identity)
-        key = group.requests[0].key
-        op, arg = group.op, group.op_arg
-        if op == "square":
-            return ev.relinearize(ev.multiply(ct, ct), key)
-        if op == "double":
-            return ev.add(ct, ct)
-        if op == "negate":
-            return ev.negate(ct)
-        if op == "rescale":
-            return ev.rescale(ct)
-        if op == "rotate":
-            return ev.rotate(ct, arg, key)
-        if op == "conjugate":
-            return ev.conjugate(ct, key)
-        raise ValueError(f"unknown op {op!r}")
-
-    def _apply_batched(
-        self, group: BatchGroup, batch: CiphertextBatch
-    ) -> CiphertextBatch:
-        bev = self.batch_evaluator
-        key = group.requests[0].key
-        op, arg = group.op, group.op_arg
-        if op == "square":
-            return bev.relinearize(bev.multiply(batch, batch), key)
-        if op == "double":
-            return bev.add(batch, batch)
-        if op == "negate":
-            return bev.negate(batch)
-        if op == "rescale":
-            return bev.rescale(batch)
-        if op == "rotate":
-            return bev.rotate(batch, arg, key)
-        if op == "conjugate":
-            return bev.conjugate(batch, key)
-        raise ValueError(f"unknown op {op!r}")
-
-    def _run_program(self, group: BatchGroup, requests) -> List[Ciphertext]:
-        """Execute one program flush as a single plan.
-
-        Every live request contributes one independent chain of the
-        registered step sequence; the plan executor packs the parallel
-        chains into batch lanes per step, so an N-wide program flush
-        runs like N-wide batched execution of each step instead of N
-        scalar chains.  The plan checker validates the chain's
-        scale/level discipline up front; a :class:`PlanValidationError`
-        (a ``ValueError``) fails the flush like any infeasible op.
-        """
-        from repro.plan import PlanExecutor, PlanGraph, check_plan
-
-        steps = self._programs[group.op_arg]
-        relin_key, galois_keys = requests[0].key
-        graph = PlanGraph()
-        for i, request in enumerate(requests):
-            ct = request.ciphertext
-            cur = graph.input(
-                f"r{i}", level_count=ct.level_count, scale=ct.scale
-            )
-            for op, arg in steps:
-                if op == "square":
-                    cur = graph.square(cur)
-                elif op == "rotate":
-                    # plan-building, not execution: the executor fuses
-                    # these into one hoisted sweep per flush
-                    cur = graph.rotate(cur, arg)  # lint: disable=R6 -- plan node
-                elif op == "conjugate":
-                    cur = graph.conjugate(cur)
-                elif op == "rescale":
-                    cur = graph.rescale(cur)
-                elif op == "double":
-                    cur = graph.add(cur, cur)
-                else:  # negate -- register_program admits nothing else
-                    cur = graph.negate(cur)
-            graph.output(cur, f"r{i}")
-        check_plan(graph, self.context)
-        executor = PlanExecutor(
+        key = requests[0].key
+        relin_key = galois_keys = None
+        key_kind = OP_KEY_KIND[requests[0].op]
+        if key_kind == "bundle":
+            relin_key, galois_keys = key
+        elif key_kind == "relin":
+            relin_key = key
+        elif key_kind == "galois":
+            galois_keys = key
+        # inputs and outputs are declared in request order (a hoist
+        # lane declares one shared input)
+        run = plan.PlanExecutor(
             self.context, relin_key=relin_key, galois_keys=galois_keys
-        )
-        run = executor.run(
-            graph,
-            {f"r{i}": r.ciphertext for i, r in enumerate(requests)},
-        )
-        return [run.outputs[f"r{i}"] for i in range(len(requests))]
+        ).run(graph, dict(zip(graph.inputs, [r.ciphertext for r in requests])))
+        return list(run.outputs.values())
 
     def _execute(self, group: BatchGroup) -> int:
         """Run one flush, respond to every member, record accounting."""
@@ -603,33 +596,15 @@ class EncryptedComputeServer:
         else:
             rejected = 0
         batched = len(requests) > 1
+        chains = [self._chain(r) for r in requests]
         t0 = time.perf_counter()
         try:
-            if group.hoisted:
-                # a hoist lane: every member carries identical ciphertext
-                # bytes and the same key object by lane construction, so
-                # one decomposition serves every requested step
-                steps = list(dict.fromkeys(r.op_arg for r in requests))
-                rotated = dict(
-                    zip(
-                        steps,
-                        self.evaluator.rotate_hoisted(
-                            requests[0].ciphertext, steps, requests[0].key
-                        ),
-                    )
-                )
-                results = [rotated[r.op_arg] for r in requests]
-            elif group.op == "program":
-                results = self._run_program(group, requests)
-            elif batched:
-                batch = CiphertextBatch.join([r.ciphertext for r in requests])
-                results = self._apply_batched(group, batch).split()
-            else:
-                results = [self._apply_scalar(group, requests[0].ciphertext)]
+            results = self._run_flush(group, requests, chains)
         except (ValueError, KeyError) as exc:
             # an infeasible op for this shape (rescale at the last
             # level, square on a size-3 ciphertext, missing Galois key
-            # element, ...) fails the whole homogeneous flush
+            # element, an infeasible program chain, ...) fails the
+            # whole homogeneous flush
             for request in requests:
                 self._respond_error(
                     request.session, request.request_id, f"op failed: {exc}"
@@ -688,18 +663,13 @@ class EncryptedComputeServer:
             self._wire_bytes(c.n, c.size, c.level_count, r.session.wire_version)
             for r, c in zip(requests, results)
         )
-        kind = (
-            self._program_kind(self._programs[group.op_arg])
-            if group.op == "program"
-            else _SCHED_KIND[group.op]
-        )
         self.report.flushes.append(
             FlushRecord(
                 group.op,
                 len(requests),
                 seconds,
                 batched,
-                ScheduledOp(kind, in_bytes, out_bytes, seconds),
+                ScheduledOp(_flush_kind(chains), in_bytes, out_bytes, seconds),
             )
         )
         return len(requests) + rejected + expired
@@ -713,8 +683,7 @@ class EncryptedComputeServer:
         """Feed the measured flush stream through the Figure-7 pipeline.
 
         The serving layer thereby produces exactly the accounting a
-        :class:`repro.system.workload.BatchWorkloadRunner` execution
-        does: real compute seconds, modeled PCIe transfer and buffer
-        back-pressure.
+        :class:`repro.plan.PlanRun` does: real compute seconds, modeled
+        PCIe transfer and buffer back-pressure.
         """
         return HostScheduler(pcie, message_bytes).run_executed(self.report)

@@ -94,6 +94,33 @@ def test_rule_silent_on_clean_fixture(rule_id, rule_cls, bad, good, expected):
     assert result.ok, [str(f) for f in result.findings]
 
 
+# ----------------------------------------------------------------------
+# R6, execution-path variant: serving/system modules construct no
+# evaluator -- they execute through repro.plan
+# ----------------------------------------------------------------------
+def test_r6_flags_evaluator_construction():
+    result = lint_fixture("r6_evaluator_violation.py", PlannerDisciplineRule())
+    assert len(result.findings) == 3
+    assert {f.rule for f in result.findings} == {"R6"}
+    assert all("PlanExecutor" in f.message for f in result.findings)
+    assert {f.symbol for f in result.findings} == {
+        "SideChannelServer.__init__",
+        "SideChannelServer.flush",
+    }
+
+
+def test_r6_silent_on_planned_execution():
+    result = lint_fixture("r6_evaluator_clean.py", PlannerDisciplineRule())
+    assert result.findings == []
+
+
+def test_r6_evaluator_ban_is_scoped_to_workload_and_serving():
+    """repro.plan is where evaluators live: the executor builds its own."""
+    text = load_fixture("r6_evaluator_violation.py").text
+    source = source_from_text("src/repro/plan/fixture.py", text)
+    assert run_lint([source], rules=[PlannerDisciplineRule()]).findings == []
+
+
 def test_r2_fires_on_violating_wrapper():
     modules = [load_fixture("r2_base.py"), load_fixture("r2_violation.py")]
     result = run_lint(modules, rules=[fixture_conformance_rule()])

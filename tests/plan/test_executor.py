@@ -192,3 +192,99 @@ class TestKeyAndInputDiscipline:
         ct = _encrypt(plan_encoder, plan_encryptor, [1.0])
         with pytest.raises(ValueError, match="unknown plan inputs: ghost"):
             executor.run(g, {"x": ct, "ghost": ct})
+
+
+class TestEncoderIsLazy:
+    """The const encoder is built on the first const encode: a const-free
+    plan (every served request) never pays for its DFT tables."""
+
+    def test_const_free_run_builds_no_encoder(
+        self, monkeypatch, plan_context, plan_encoder, plan_encryptor, plan_relin
+    ):
+        import repro.plan.executor as executor_mod
+
+        built = []
+
+        class CountingEncoder(CkksEncoder):
+            def __init__(self, context):
+                built.append(context)
+                super().__init__(context)
+
+        monkeypatch.setattr(executor_mod, "CkksEncoder", CountingEncoder)
+        ex = PlanExecutor(plan_context, relin_key=plan_relin)
+        ct = _encrypt(plan_encoder, plan_encryptor, [0.5, -0.25])
+        g = PlanGraph()
+        x = g.input("x")
+        g.output(g.negate(g.square(x)), "y")
+        ex.run(g, {"x": ct})
+        ex.run(g, {"x": ct}, optimize=False)
+        assert built == []
+
+        g = PlanGraph()
+        g.output(g.mul_plain(g.input("x"), g.const(0.5)), "y")
+        ex.run(g, {"x": ct})
+        ex.run(g, {"x": ct}, optimize=False)
+        assert built == [plan_context]  # built once, then reused
+
+
+class TestSameOperandLanes:
+    """``add(x, x)`` / ``mul_relin(x, x)`` lanes stack their operand once
+    and pass the same batch twice -- bit-identical to scalar execution."""
+
+    WIDTH = 4
+
+    def _count_joins(self, monkeypatch):
+        from repro.ckks.batch import CiphertextBatch
+
+        joins = []
+        join = CiphertextBatch.from_ciphertexts.__func__
+
+        def counting_join(cls, ciphertexts):
+            joins.append(len(ciphertexts))
+            return join(cls, ciphertexts)
+
+        monkeypatch.setattr(CiphertextBatch, "join", classmethod(counting_join))
+        return joins
+
+    def _inputs(self, plan_encoder, plan_encryptor):
+        return {
+            f"x{i}": _encrypt(plan_encoder, plan_encryptor, [0.1 * (i + 1), -0.3])
+            for i in range(self.WIDTH)
+        }
+
+    def test_self_operand_lanes_join_once(
+        self, monkeypatch, plan_encoder, plan_encryptor, executor
+    ):
+        g = PlanGraph()
+        for i in range(self.WIDTH):
+            x = g.input(f"x{i}")
+            g.output(g.add(x, x), f"double{i}")
+            g.output(g.mul_relin(x, x), f"square{i}")
+        inputs = self._inputs(plan_encoder, plan_encryptor)
+        joins = self._count_joins(monkeypatch)
+        fast = executor.run(g, inputs)
+        # one add lane + one mul_relin lane, each stacked once
+        assert fast.lanes == 2 and joins == [self.WIDTH, self.WIDTH]
+        slow = executor.run(g, inputs, optimize=False)
+        for name in g.outputs:
+            assert serialize_ciphertext(fast.outputs[name]) == serialize_ciphertext(
+                slow.outputs[name]
+            ), f"bit mismatch on output {name!r}"
+
+    def test_distinct_operand_lane_joins_both_sides(
+        self, monkeypatch, plan_encoder, plan_encryptor, executor
+    ):
+        g = PlanGraph()
+        xs = [g.input(f"x{i}") for i in range(self.WIDTH)]
+        g.output(g.add(xs[0], xs[0]), "self")
+        for i in range(1, self.WIDTH):
+            g.output(g.add(xs[i], xs[i - 1]), f"pair{i}")
+        inputs = self._inputs(plan_encoder, plan_encryptor)
+        joins = self._count_joins(monkeypatch)
+        fast = executor.run(g, inputs)
+        assert fast.lanes == 1 and joins == [self.WIDTH, self.WIDTH]
+        slow = executor.run(g, inputs, optimize=False)
+        for name in g.outputs:
+            assert serialize_ciphertext(fast.outputs[name]) == serialize_ciphertext(
+                slow.outputs[name]
+            ), f"bit mismatch on output {name!r}"

@@ -202,3 +202,56 @@ class TestHoistFlushBilling:
         # per-rotation Modulus Switch -- the rotate_hoisted budget
         assert be.counts["ntt_inverse"] == L + 2 * R
         assert be.counts["ntt_forward"] == L * L + 2 * L * R
+
+
+class TestSingleOpsKeepTheirOwnChecks:
+    """Every flush runs as a plan, but only program flushes go through
+    ``check_plan``: a single op gains no validation it never had.  At
+    k = 2 the 12-bit headroom rule rejects a one-step ``square`` chain
+    (scale 2^56 in a 60-bit budget), while the ``square`` op serves the
+    same input and decodes correctly -- the Set-A situation in miniature."""
+
+    PROGRAM_ID = 3
+
+    def test_square_op_serves_where_square_program_is_rejected(self):
+        from repro.plan import PlanGraph, PlanValidationError, check_plan
+
+        ctx = CkksContext(toy_parameters(n=64, k=2, prime_bits=30))
+        chain = PlanGraph()
+        chain.output(chain.square(chain.input("x")), "y")
+        with pytest.raises(PlanValidationError, match="headroom"):
+            check_plan(chain, ctx)
+
+        tenant = SyntheticTenant(ctx, seed=77, key_id="tenant-headroom")
+        client = SyntheticClient(tenant, "headroom", seed=78)
+        server = EncryptedComputeServer(ctx, max_batch_size=8)
+        server.register_program(self.PROGRAM_ID, ("square",))
+        client.connect(server)
+        values = [0.5, -0.25, 0.75]
+        # a 2-wide square flush (batched) and a singleton program flush
+        for blob in (
+            client.request_bytes("square", values),
+            client.request_bytes("square", values[::-1]),
+            client.request_bytes("program", values, op_arg=self.PROGRAM_ID),
+        ):
+            server.receive(client.client_id, blob)
+        assert server.drain() == 3
+        frames = {}
+        for blob in server.sessions.get(client.client_id).take_outbox():
+            frames[framing.decode_frame(blob).request_id] = blob
+
+        for request_id, sent in ((0, values), (1, values[::-1])):
+            frame = framing.decode_frame(frames[request_id])
+            assert frame.kind == framing.RESPONSE and frame.op == "square"
+            _, decoded = tenant.decrypt_response(frames[request_id])
+            np.testing.assert_allclose(
+                np.array(decoded[:3]).real, np.array(sent) ** 2, atol=1e-2
+            )
+        (flush,) = [f for f in server.report.flushes if f.op == "square"]
+        assert flush.batch_size == 2 and flush.batched
+
+        # the program flush still fails the plan check, loudly
+        frame = framing.decode_frame(frames[2])
+        assert frame.kind == framing.ERROR
+        assert frame.error_message.startswith("op failed: plan node")
+        assert "headroom" in frame.error_message

@@ -114,8 +114,35 @@ class TestOpSequence:
         assert Workload("empty").op_sequence() == []
 
 
+def _execute(context, workload, lanes, seed):
+    """Lower ``workload`` over ``lanes`` chains, place its rescales and
+    run it on fresh encryptions: ``(graph, run, keygen)``."""
+    from repro.ckks.encoder import CkksEncoder
+    from repro.ckks.encryptor import Encryptor
+    from repro.ckks.keys import KeyGenerator
+    from repro.plan import PlanExecutor, compile_plan
+    from repro.plan.lower import fresh_lane_inputs
+
+    keygen = KeyGenerator(context, seed=seed)
+    encoder = CkksEncoder(context)
+    encryptor = Encryptor(context, keygen.public_key(), seed=seed + 1)
+    graph = compile_plan(
+        workload.to_plan(lanes, context), context, rescale_outputs=False
+    )
+    inputs = fresh_lane_inputs(
+        graph, lambda name: encryptor.encrypt(encoder.encode([0.5, -0.25j]))
+    )
+    executor = PlanExecutor(
+        context,
+        relin_key=keygen.relin_key(),
+        galois_keys=keygen.galois_keys([1]),
+    )
+    return graph, executor.run(graph, inputs), keygen
+
+
 class TestBatchExecution:
-    """The runner really executes workloads via BatchEvaluator."""
+    """Workloads really execute: ``Workload.to_plan`` over independent
+    lanes, run by ``PlanExecutor`` through its batch lanes."""
 
     @pytest.fixture(scope="class")
     def context(self):
@@ -124,56 +151,58 @@ class TestBatchExecution:
         return CkksContext(toy_parameters(n=64, k=3, prime_bits=30))
 
     def test_executes_every_primitive(self, context):
-        from repro.system.workload import BatchWorkloadRunner
-
         w = WorkloadGenerator.logistic_inference(8, 3)
-        runner = BatchWorkloadRunner(context, batch_size=2, seed=5)
-        report = runner.execute(w)
-        assert report.op_count == w.total_ops
-        assert report.batch_size == 2
-        assert report.compute_seconds > 0
-        assert report.ciphertext_ops_per_second > 0
-        executed = [e.primitive for e in report.executed]
-        for p in PRIMITIVES:
-            assert executed.count(p) == w.counts[p]
+        lanes = 2
+        graph, run, _ = _execute(context, w, lanes, seed=5)
+        ops = [n.op for n in graph.topo_order() if n.op not in ("input", "const")]
+        # every op node ran exactly once, in some schedule step
+        executed = sorted(i for step in run.steps for i in step.node_ids)
+        assert executed == sorted(
+            n.id for n in graph.topo_order() if n.op not in ("input", "const")
+        )
+        assert run.compute_seconds > 0
+        # the parallel lanes really ran batched
+        assert run.lanes > 0 and run.packed_ops > 0
+        # each primitive of every lane is in the plan
+        assert ops.count("rotate") == lanes * w.counts["keyswitch"]
+        assert ops.count("square") == lanes * w.counts["cc_mult"]
+        assert ops.count("add") == lanes * w.counts["add"]
+        assert ops.count("mul_plain") >= lanes * w.counts["cp_mult"]
+        assert ops.count("rescale") >= lanes * w.counts["rescale"]
 
     def test_scheduled_ops_carry_measured_times(self, context):
-        from repro.system.workload import BatchWorkloadRunner
-
         w = WorkloadGenerator.dot_product(4)
-        runner = BatchWorkloadRunner(context, batch_size=3, seed=6)
-        report = runner.execute(w)
-        ops = report.scheduled_ops()
-        assert len(ops) == w.total_ops
+        _, run, _ = _execute(context, w, 3, seed=6)
+        ops = run.scheduled_ops()
+        assert len(ops) == run.step_count
         assert all(op.compute_seconds > 0 for op in ops)
         assert all(op.input_bytes > 0 for op in ops)
         # keyswitch ops must be tagged for quadruple buffering
-        kinds = {e.primitive: e.scheduled.kind for e in report.executed}
-        assert kinds["keyswitch"] == "keyswitch"
+        kinds = {step.op: step.scheduled.kind for step in run.steps}
+        assert kinds["rotate"] == "keyswitch"
         assert kinds["rescale"] == "ntt"
+        assert kinds["mul_plain"] == "mult"
 
     def test_host_scheduler_consumes_execution(self, context):
         from repro.system.pcie import PcieModel, polynomial_bytes
         from repro.system.scheduler import HostScheduler
-        from repro.system.workload import BatchWorkloadRunner
 
         w = WorkloadGenerator.polynomial_activation(2)
-        runner = BatchWorkloadRunner(context, batch_size=2, seed=7)
-        report = runner.execute(w)
+        _, run, _ = _execute(context, w, 2, seed=7)
         scheduler = HostScheduler(
             PcieModel(peak_bytes_per_sec=15.75e9),
             message_bytes=polynomial_bytes(64),
         )
-        sched_report = scheduler.run_executed(report)
-        assert sched_report.ops == report.op_count
-        assert sched_report.total_seconds >= report.compute_seconds
+        sched_report = scheduler.run_executed(run)
+        assert sched_report.ops == run.step_count
+        assert sched_report.total_seconds >= run.compute_seconds
 
     def test_cross_backend_execution_bit_identical(self):
-        """The executed stream ends in the same ciphertexts on every
+        """The executed plan ends in the same ciphertexts on every
         backend -- the system layer inherits the backend contract."""
         from repro.ckks.backend import available_backends, use_backend
         from repro.ckks.context import CkksContext, toy_parameters
-        from repro.system.workload import BatchWorkloadRunner
+        from repro.ckks.decryptor import Decryptor
 
         if "numpy" not in available_backends():
             pytest.skip("numpy backend unavailable")
@@ -182,23 +211,22 @@ class TestBatchExecution:
         def run(backend):
             with use_backend(backend):
                 ctx = CkksContext(toy_parameters(n=64, k=3, prime_bits=30))
-                runner = BatchWorkloadRunner(ctx, batch_size=2, seed=11)
-                runner.execute(w)
-                return runner.decrypted_rows()
+                _, executed, keygen = _execute(ctx, w, 2, seed=11)
+                decryptor = Decryptor(ctx, keygen.secret_key)
+                return {
+                    name: decryptor.decrypt(ct).poly.residues
+                    for name, ct in executed.outputs.items()
+                }
 
         assert run("numpy") == run("reference")
 
     def test_batch_size_must_be_positive(self, context):
-        from repro.system.workload import BatchWorkloadRunner
-
-        with pytest.raises(ValueError):
-            BatchWorkloadRunner(context, batch_size=0)
+        with pytest.raises(ValueError, match="at least one lane"):
+            WorkloadGenerator.dot_product(4).to_plan(0, context)
 
     def test_rescale_on_single_level_chain_rejected_up_front(self):
         from repro.ckks.context import CkksContext, toy_parameters
-        from repro.system.workload import BatchWorkloadRunner
 
         ctx = CkksContext(toy_parameters(n=64, k=1, prime_bits=30))
-        runner = BatchWorkloadRunner(ctx, batch_size=2, seed=13)
         with pytest.raises(ValueError, match="single-level"):
-            runner.execute(Workload("w", {"rescale": 1, "add": 1}))
+            Workload("w", {"rescale": 1, "add": 1}).to_plan(2, ctx)
