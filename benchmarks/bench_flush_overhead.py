@@ -24,7 +24,7 @@ direct call's results.
 
 Target: a median plan/direct ratio of at most ``TARGET_RATIO`` for
 both ops.  The table and JSON report whether each op meets it; the test
-asserts bit identity only, because the target is not met on every op
+asserts bit identity only, because the target is missed on both ops
 (see CHANGES.md) and a bench that always fails gates nothing.  Results
 land in ``results/flush_overhead.txt`` and
 ``results/BENCH_flush_overhead.json``.

@@ -26,7 +26,6 @@ math.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import time  # perf_counter only: measures flush cost, never deadlines
 from array import array
@@ -55,9 +54,9 @@ from repro.serving.session import ClientSession, SessionManager
 from repro.system.scheduler import HostScheduler, ScheduledOp, ScheduleReport
 from repro.system.pcie import PcieModel
 
-@functools.lru_cache(maxsize=256)
+
 def _flush_graph(
-    chains: tuple, hoisted: bool, level_count: int, scale: float, slots: int
+    chains, hoisted: bool, level_count: int, scale: float, slots: int
 ) -> plan.PlanGraph:
     """The plan of one flush: one chain per live request.
 
@@ -68,10 +67,6 @@ def _flush_graph(
     by lane construction, so they all read ONE input, ``r0``, and the
     executor serves their rotations as one hoisted sweep (decompose
     once, apply every step).
-
-    A flush's plan depends only on these arguments, and lanes repeat,
-    so it is built once per shape and reused (nothing mutates a built
-    plan): building one is a measurable share of a light op's flush.
     """
     graph = plan.PlanGraph()
     shared = None
@@ -521,7 +516,7 @@ class EncryptedComputeServer:
         """
         ct = requests[0].ciphertext
         graph = _flush_graph(
-            tuple(chains),
+            chains,
             group.hoisted,
             ct.level_count,
             ct.scale,

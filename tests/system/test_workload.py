@@ -172,9 +172,15 @@ class TestBatchExecution:
 
     def test_scheduled_ops_carry_measured_times(self, context):
         w = WorkloadGenerator.dot_product(4)
-        _, run, _ = _execute(context, w, 3, seed=6)
+        graph, run, _ = _execute(context, w, 3, seed=6)
         ops = run.scheduled_ops()
-        assert len(ops) == run.step_count
+        op_nodes = [n for n in graph.topo_order() if n.op not in ("input", "const")]
+        # one scheduled op per executed lane, sweep or scalar op, and
+        # together they cover every op node exactly once
+        assert len(ops) == run.lanes + run.sweeps + run.scalar_ops
+        assert sum(step.width for step in run.steps) == len(op_nodes)
+        # the three parallel lanes pack: fewer scheduled ops than nodes
+        assert len(ops) < len(op_nodes)
         assert all(op.compute_seconds > 0 for op in ops)
         assert all(op.input_bytes > 0 for op in ops)
         # keyswitch ops must be tagged for quadruple buffering
